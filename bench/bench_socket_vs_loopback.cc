@@ -1,19 +1,26 @@
 // Transport overhead of cross-process sharding: scatter-gather latency
-// through the in-process LoopbackTransport vs a UDS net::SocketTransport
-// at N ∈ {2, 4} shards, with every socket-path result verified identical
-// to the loopback path (and to the single-store engine) per run.
+// through one transport, replica::ReplicaSetTransport at R=1, over two
+// channel kinds — shard::LoopbackReplicaChannel (in-process) and
+// replica::SocketReplicaChannel (UDS) — at N ∈ {2, 4} shards, with every
+// socket-path result verified identical to the in-process path (and to the
+// single-store engine) per run.
 //
 // The shard servers run in-process here (same engines behind real
-// sockets), so the measured delta is exactly the transport tax — frame
-// write + kernel socket hop + frame read — not fixture divergence. That
-// per-frame overhead is the number that must stay small relative to
-// sub-query time for multi-process sharding to pay off; on loopback UDS
-// it is typically tens of microseconds against sub-query costs in the
-// hundreds or thousands.
+// sockets), so the two sides differ only in the channel under the same
+// routing layer: the measured delta is exactly the socket tax — frame
+// write + kernel socket hop + frame read — not fixture divergence.
+//
+// The two sides are interleaved rep by rep (in alternating order, so slow
+// drift of the host lands on both), and each side's A/A spread — the
+// median difference between two consecutive sweeps of the *same* side —
+// is printed next to the per-frame tax. A tax inside the larger spread is
+// reported as noise, not as a measurement.
 //
 // Flags: --scale=<f> (default 0.25), --l=<n> (default 3),
-// --reps=<n> (default 5).
+// --reps=<n> (default 9).
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -25,10 +32,12 @@
 #include "bench_util.h"
 #include "common/table_printer.h"
 #include "net/shard_server.h"
-#include "net/socket_transport.h"
+#include "replica/replica_set.h"
 #include "shard/frame_handler.h"
+#include "shard/replica_loopback.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_store.h"
+#include "wire/message.h"
 
 namespace tsb {
 namespace bench {
@@ -62,10 +71,27 @@ std::vector<QueryCase> MakeQuerySet(const World& world) {
   return cases;
 }
 
+double Median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Median |t[i] - t[i-1]| over consecutive sweeps of one side: each pair
+/// is an A/A run of the same configuration. 0 with fewer than 2 sweeps.
+double AaSpread(const std::vector<double>& sweeps) {
+  std::vector<double> deltas;
+  for (size_t i = 1; i < sweeps.size(); ++i) {
+    deltas.push_back(std::fabs(sweeps[i] - sweeps[i - 1]));
+  }
+  return Median(std::move(deltas));
+}
+
 void Run(int argc, char** argv) {
   const double scale = FlagValue(argc, argv, "scale", 0.25);
   const size_t l = static_cast<size_t>(FlagValue(argc, argv, "l", 3));
-  const int reps = static_cast<int>(FlagValue(argc, argv, "reps", 5));
+  const int reps =
+      std::max(1, static_cast<int>(FlagValue(argc, argv, "reps", 9)));
 
   WorldConfig config;
   config.scale = scale;
@@ -73,10 +99,11 @@ void Run(int argc, char** argv) {
   config.pairs = {{"Protein", "DNA"}, {"Protein", "Unigene"}};
   std::unique_ptr<World> world = MakeWorld(config);
   std::printf(
-      "Socket vs loopback transport: synthetic Biozon scale=%.2f, l=%zu; "
-      "query set = 24 (methods x selectivity x pair); shard servers "
-      "in-process behind UDS\n\n",
-      scale, l);
+      "Socket vs loopback channel under one ReplicaSetTransport (R=1): "
+      "synthetic Biozon scale=%.2f, l=%zu; query set = 24 (methods x "
+      "selectivity x pair); shard servers in-process behind UDS; %d "
+      "interleaved reps per side\n\n",
+      scale, l, reps);
 
   std::vector<QueryCase> cases = MakeQuerySet(*world);
   std::vector<std::vector<engine::ResultEntry>> expected;
@@ -87,9 +114,9 @@ void Run(int argc, char** argv) {
     expected.push_back(result->entries);
   }
 
-  TablePrinter table({"shards", "transport", "query set", "vs loopback",
-                      "wire frames", "per-frame tax", "bytes/frame",
-                      "identical"});
+  TablePrinter table({"shards", "channel", "query set", "wire frames",
+                      "per-frame tax", "A/A spread", "bytes/frame",
+                      "verdict", "identical"});
   for (size_t n : {2u, 4u}) {
     // Build + prune this shard count under its own namespace.
     auto sharded = std::make_shared<shard::ShardedTopologyStore>(n);
@@ -134,15 +161,21 @@ void Run(int argc, char** argv) {
     executor.PrepareIndexes("Protein", "Unigene");
 
     // The in-process shard servers: the executor's own engines behind
-    // real UDS sockets, so socket-vs-loopback differs only in transport.
+    // real UDS sockets, so the two sides differ only in the channel.
     const shard::ShardedTopologyStore* store = &executor.store();
+    std::vector<const engine::Engine*> engines;
     std::vector<std::unique_ptr<shard::ShardFrameHandler>> handlers;
     std::vector<std::unique_ptr<net::ShardServer>> servers;
     std::vector<net::ShardEndpoint> endpoints;
     for (size_t i = 0; i < n; ++i) {
+      engines.push_back(&executor.shard_engine(i));
+      // Stamped like the loopback channels, so both sides ship the same
+      // response bytes.
+      std::shared_ptr<core::StoreHandle> handle = store->handle(i);
       handlers.push_back(std::make_unique<shard::ShardFrameHandler>(
           &world->db, &executor.shard_engine(i),
-          [store, i]() { return store->Snapshot(i); }));
+          [handle]() { return handle->Snapshot(); },
+          [handle]() { return wire::MakeServingStamp(0, handle->epoch()); }));
       net::ShardServerConfig server_config;
       server_config.uds_path = "/tmp/tsb_bench_sock_" +
                                std::to_string(::getpid()) + "_" +
@@ -153,76 +186,99 @@ void Run(int argc, char** argv) {
       TSB_CHECK(servers.back()->Start().ok());
       endpoints.push_back(net::ShardEndpoint::Unix(server_config.uds_path));
     }
-    net::SocketTransport transport(endpoints);
+    replica::ReplicaSetTransport loopback(
+        shard::MakeLoopbackReplicaGrid(&world->db, store, engines, 1)
+            .channels);
+    replica::ReplicaSetTransport socket(
+        replica::SocketShardChannels(endpoints));
 
-    struct TransportRun {
+    struct Side {
       const char* name;
-      wire::ShardTransport* override_transport;  // Null = loopback.
-      double seconds = 0.0;
+      wire::ShardTransport* transport;
+      std::vector<double> sweeps;  // Seconds per query-set sweep.
       uint64_t frames = 0;
       uint64_t bytes = 0;
     };
-    TransportRun runs[2] = {{"loopback", nullptr}, {"socket", &transport}};
+    Side sides[2] = {{"loopback", &loopback, {}}, {"socket", &socket, {}}};
 
-    for (TransportRun& run : runs) {
-      executor.set_transport(run.override_transport);
-      // Identity check every run: the transport must never change results.
-      bool identical = true;
+    auto sweep = [&](Side& side) {
+      executor.set_transport(side.transport);
+      const shard::ScatterStats before = executor.GetScatterStats();
+      Stopwatch watch;
+      for (const QueryCase& c : cases) {
+        auto result = executor.Execute(c.query, c.method);
+        TSB_CHECK(result.ok()) << result.status();
+      }
+      const double seconds = watch.ElapsedSeconds();
+      const shard::ScatterStats after = executor.GetScatterStats();
+      side.frames += after.transport_subqueries - before.transport_subqueries;
+      side.bytes +=
+          (after.transport_bytes_sent + after.transport_bytes_received) -
+          (before.transport_bytes_sent + before.transport_bytes_received);
+      executor.set_transport(nullptr);
+      return seconds;
+    };
+
+    for (Side& side : sides) {
+      // Identity check every run: the channel must never change results.
+      // It doubles as the warm-up sweep of this side.
+      executor.set_transport(side.transport);
       for (size_t i = 0; i < cases.size(); ++i) {
         auto result = executor.Execute(cases[i].query, cases[i].method);
         TSB_CHECK(result.ok()) << result.status();
         TSB_CHECK(!result->partial);
-        if (result->entries != expected[i]) identical = false;
+        TSB_CHECK(result->entries == expected[i])
+            << side.name << " diverged at " << n << " shards, case " << i;
       }
-      TSB_CHECK(identical)
-          << run.name << " diverged at " << n << " shards";
-
-      shard::ScatterStats before = executor.GetScatterStats();
-      run.seconds = MeasureSeconds(
-          [&]() {
-            for (const QueryCase& c : cases) {
-              auto result = executor.Execute(c.query, c.method);
-              TSB_CHECK(result.ok());
-            }
-          },
-          reps);
-      shard::ScatterStats after = executor.GetScatterStats();
-      run.frames = after.transport_subqueries - before.transport_subqueries;
-      run.bytes = (after.transport_bytes_sent + after.transport_bytes_received) -
-                  (before.transport_bytes_sent + before.transport_bytes_received);
       executor.set_transport(nullptr);
     }
+    for (int rep = 0; rep < reps; ++rep) {
+      // ABBA order: neither side always runs first after the other.
+      const int first = rep % 2;
+      sides[first].sweeps.push_back(sweep(sides[first]));
+      sides[1 - first].sweeps.push_back(sweep(sides[1 - first]));
+    }
 
-    const double per_frame_tax_us =
-        runs[1].frames > 0
-            ? 1e6 * (runs[1].seconds - runs[0].seconds) /
-                  (static_cast<double>(runs[1].frames) / reps)
-            : 0.0;
-    for (const TransportRun& run : runs) {
-      const bool socket = run.override_transport != nullptr;
+    const double frames_per_sweep =
+        static_cast<double>(sides[1].frames) / reps;
+    const double per_frame_us =
+        frames_per_sweep > 0 ? 1e6 / frames_per_sweep : 0.0;
+    const double tax_us =
+        per_frame_us * (Median(sides[1].sweeps) - Median(sides[0].sweeps));
+    const double noise_us =
+        per_frame_us *
+        std::max(AaSpread(sides[0].sweeps), AaSpread(sides[1].sweeps));
+    const char* verdict = reps < 2                       ? "no A/A (reps<2)"
+                          : std::fabs(tax_us) > noise_us ? "measured"
+                                                          : "noise";
+    for (const Side& side : sides) {
+      const bool is_socket = side.transport == &socket;
       table.AddRow(
-          {std::to_string(n), run.name,
-           TablePrinter::Num(1e3 * run.seconds, 1) + "ms",
-           socket ? TablePrinter::Num(run.seconds / runs[0].seconds, 2) + "x"
-                  : "1.00x",
-           std::to_string(run.frames / reps) + "/sweep",
-           socket ? TablePrinter::Num(per_frame_tax_us, 1) + "us" : "-",
-           run.frames > 0
-               ? TablePrinter::Num(static_cast<double>(run.bytes) /
-                                       static_cast<double>(run.frames),
+          {std::to_string(n), side.name,
+           TablePrinter::Num(1e3 * Median(side.sweeps), 2) + "ms",
+           TablePrinter::Num(static_cast<double>(side.frames) / reps, 0) +
+               "/sweep",
+           is_socket ? TablePrinter::Num(tax_us, 1) + "us" : "-",
+           TablePrinter::Num(per_frame_us * AaSpread(side.sweeps), 1) + "us",
+           side.frames > 0
+               ? TablePrinter::Num(static_cast<double>(side.bytes) /
+                                       static_cast<double>(side.frames),
                                    0) + "B"
                : "-",
-           "yes"});
+           is_socket ? verdict : "-", "yes"});
     }
     for (auto& server : servers) server->Stop();
   }
   table.Print(std::cout);
   std::printf(
-      "\n(per-frame tax = added wall-clock per wire frame when sub-queries "
-      "cross a real UDS socket to shard servers instead of the in-process "
-      "loopback; both paths serialize identically, so the tax is write + "
-      "socket hop + read. Every result verified identical to the "
-      "single-store engine on both transports.)\n");
+      "\n(query set = median sweep time; per-frame tax = socket minus "
+      "loopback median sweep, per wire frame; A/A spread = median "
+      "difference between consecutive sweeps of the same side, per wire "
+      "frame. A tax "
+      "within the larger of the two A/A spreads is reported as noise. Both "
+      "sides run the same ReplicaSetTransport and serialize identically, "
+      "so the tax is write + socket hop + read. Every result verified "
+      "identical to the single-store engine on both channels.)\n");
 }
 
 }  // namespace

@@ -113,8 +113,8 @@ InteractivePhase RunInteractive(service::TopologyService* svc,
   phase.mismatches = mismatches.load();
   phase.failures = failures.load();
   auto metrics = svc->Metrics();
-  phase.p95 = metrics.classes[0].latency.p95;
-  phase.p50 = metrics.classes[0].latency.p50;
+  phase.p95 = metrics.classes[0].latency.Quantile(0.95);
+  phase.p50 = metrics.classes[0].latency.Quantile(0.50);
   return phase;
 }
 
@@ -179,7 +179,7 @@ void Run(int argc, char** argv) {
   // queueing isolation can't fix core scarcity.
   svc_config.max_concurrent_batch = std::max<size_t>(1, threads / 4);
   // Warm the engine-side paths (indexes, allocator, OS caches) on a
-  // throwaway service, so neither phase's latency reservoir contains
+  // throwaway service, so neither phase's latency histogram contains
   // warm-up samples — the measured p95s cover only their own regime.
   {
     service::TopologyService warmup(world->engine.get(), &world->db,
@@ -212,7 +212,7 @@ void Run(int argc, char** argv) {
     flood.push_back(std::move(request));
   }
 
-  // A fresh service with identical config: its latency reservoir holds
+  // A fresh service with identical config: its latency histogram holds
   // only samples taken while the flood is live (no public metrics-reset
   // hook, and no warm-up sweep here — see the throwaway warm-up above).
   service::TopologyService mixed_svc(world->engine.get(), &world->db,

@@ -6,7 +6,8 @@
 // a binary frame crossing an encode → decode boundary byte-identically,
 // a stream of mixed-priority requests answered through a StreamSink with
 // deadline shedding, and a 2-shard scatter whose sub-queries travel as
-// encoded wire messages (LoopbackTransport).
+// encoded wire messages (the executor's built-in in-process
+// ReplicaSetTransport).
 //
 // Build & run:  ./build/examples/wire_protocol
 
@@ -129,7 +130,7 @@ int main() {
               metrics.ToString().c_str());
 
   // 5. The transport seam: a 2-shard store whose scatter sub-queries cross
-  //    the wire (encoded frames over LoopbackTransport, in-process).
+  //    the wire (encoded frames over the built-in in-process transport).
   auto sharded = std::make_shared<shard::ShardedTopologyStore>(2);
   core::BuildConfig shard_build = build;
   shard_build.table_namespace = "demo.";

@@ -16,8 +16,8 @@ namespace engine {
 /// Numbers travel as exact bit patterns (common/binary_io.h), so
 /// encode → decode → encode is byte-identical and decoded scores compare
 /// equal to the originals under operator== — the property the sharded
-/// LoopbackTransport path relies on to stay byte-identical with direct
-/// scatter-gather execution.
+/// executor's transport path relies on to stay byte-identical with direct
+/// single-store execution.
 
 void EncodeExecStats(const ExecStats& stats, std::string* out);
 Result<ExecStats> DecodeExecStats(BinaryReader* in);

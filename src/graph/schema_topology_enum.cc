@@ -62,7 +62,7 @@ void ForEachPartition(const std::vector<Intermediate>& items,
 }  // namespace
 
 std::vector<CandidateTopology> EnumerateCandidateTopologies(
-    const SchemaGraph& schema, const std::vector<SchemaPath>& paths,
+    const SchemaGraph& /*schema*/, const std::vector<SchemaPath>& paths,
     const EnumerateOptions& options, bool* truncated) {
   if (truncated != nullptr) *truncated = false;
   std::vector<CandidateTopology> out;

@@ -24,7 +24,7 @@ using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 Deadline DeadlineAfter(double seconds);
 
 /// One blocking-I/O socket connection carrying length-prefixed WireFrames
-/// (wire/codec.h) — the byte-shipping layer under net::SocketTransport and
+/// (wire/codec.h) — the byte-shipping layer under net::EndpointClient and
 /// net::ShardServer, over TCP or Unix-domain stream sockets.
 ///
 /// ReadFrame reassembles a frame from however many partial reads the
@@ -37,7 +37,7 @@ Deadline DeadlineAfter(double seconds);
 /// must be closed.
 ///
 /// Thread safety: none. A connection belongs to one request at a time
-/// (SocketTransport's pool enforces this); reader and writer sides of a
+/// (EndpointClient's pool enforces this); reader and writer sides of a
 /// server conn belong to its one serving thread.
 class FrameConn {
  public:

@@ -13,8 +13,9 @@
 namespace tsb {
 namespace obs {
 
-/// Fixed log-bucket latency histogram — the fleet-mergeable counterpart
-/// of LatencyReservoir. The bucket layout follows the Prometheus
+/// Fixed log-bucket latency histogram — the one latency record of every
+/// metrics class (service, transport, replica). The bucket layout follows
+/// the Prometheus
 /// native-histogram idea: exponential buckets at a fixed resolution, here
 /// 4 per octave (factor 2^(1/4) ≈ 1.19) starting at 1µs, 128 buckets
 /// spanning ~1µs..4295s, plus one overflow bucket. The layout is global
@@ -28,8 +29,13 @@ namespace obs {
 /// function of the bucket counts: merged-then-quantile equals
 /// union-recorded-then-quantile, bit for bit.
 ///
-/// Not internally locked — callers hold the owning mutex, exactly as with
-/// LatencyReservoir.
+/// Quantile resolution: a bucket spans a factor of 2^¼ ≈ 1.19, so a
+/// quantile is known to within about ±9% of the bucket's geometric
+/// centre. Quantile() reports the bucket's upper bound, so it never reads
+/// below the true rank value and at most ~19% above it (values in the
+/// overflow bucket resolve to the exact max).
+///
+/// Not internally locked — callers hold the owning mutex.
 class LatencyHistogram {
  public:
   static constexpr size_t kNumBuckets = 128;   // Finite buckets.

@@ -35,10 +35,9 @@ uint64_t NewId() {
 }
 
 // Minimum encoded size of one span: two u64 ids, two u32 string lengths,
-// two f64 times — plus the cpu_ns u64 in with_cpu (wire v6) mode. Used to
-// bound a decoded span count before allocation.
-constexpr size_t kMinEncodedSpanBytes = 8 + 8 + 4 + 4 + 8 + 8;
-constexpr size_t kMinEncodedSpanBytesWithCpu = kMinEncodedSpanBytes + 8;
+// two f64 times, and the cpu_ns u64. Used to bound a decoded span count
+// before allocation.
+constexpr size_t kMinEncodedSpanBytes = 8 + 8 + 4 + 4 + 8 + 8 + 8;
 
 }  // namespace
 
@@ -73,12 +72,10 @@ void EncodeSpans(const std::vector<Span>& spans, std::string* out) {
   }
 }
 
-Status DecodeSpans(BinaryReader* in, std::vector<Span>* out, bool with_cpu) {
+Status DecodeSpans(BinaryReader* in, std::vector<Span>* out) {
   const uint32_t count = in->U32();
   if (!in->ok()) return in->status("span list count");
-  const size_t min_span_bytes =
-      with_cpu ? kMinEncodedSpanBytesWithCpu : kMinEncodedSpanBytes;
-  if (static_cast<size_t>(count) * min_span_bytes > in->remaining()) {
+  if (static_cast<size_t>(count) * kMinEncodedSpanBytes > in->remaining()) {
     return Status::InvalidArgument("span list count exceeds payload");
   }
   out->reserve(out->size() + count);
@@ -90,7 +87,7 @@ Status DecodeSpans(BinaryReader* in, std::vector<Span>* out, bool with_cpu) {
     span.tags = in->String();
     span.start_unix_seconds = in->F64();
     span.duration_seconds = in->F64();
-    if (with_cpu) span.cpu_ns = in->U64();
+    span.cpu_ns = in->U64();
     if (in->ok()) out->push_back(std::move(span));
   }
   if (!in->ok()) return in->status("span list");

@@ -72,16 +72,14 @@ uint64_t NewSpanId();
 /// Wall-clock now, seconds since the Unix epoch.
 double UnixSeconds();
 
-/// Span-list codec (the piggyback payload of wire v4+ query responses):
+/// Span-list codec (the piggyback payload of wire query responses):
 /// u32 count, then per span: span_id u64, parent u64, name string,
-/// tags string, start f64, duration f64, cpu_ns u64 (wire v6; decoders
-/// pass with_cpu=false for v4/v5 frames, whose span records end at the
-/// duration). DecodeSpans validates the count against the remaining
-/// payload before any allocation, so a corrupted count fails fast instead
-/// of reserving gigabytes.
+/// tags string, start f64, duration f64, cpu_ns u64. DecodeSpans
+/// validates the count against the remaining payload before any
+/// allocation, so a corrupted count fails fast instead of reserving
+/// gigabytes.
 void EncodeSpans(const std::vector<Span>& spans, std::string* out);
-Status DecodeSpans(BinaryReader* in, std::vector<Span>* out,
-                   bool with_cpu = true);
+Status DecodeSpans(BinaryReader* in, std::vector<Span>* out);
 
 /// One query's trace under assembly: the root span plus every stage span,
 /// local and absorbed from shard responses. Held by shared_ptr and

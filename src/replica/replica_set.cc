@@ -46,6 +46,18 @@ size_t TotalReplicas(const std::vector<size_t>& counts) {
 
 }  // namespace
 
+std::vector<std::vector<std::unique_ptr<ReplicaChannel>>> SocketShardChannels(
+    const std::vector<net::ShardEndpoint>& endpoints,
+    const net::EndpointClientConfig& config) {
+  std::vector<std::vector<std::unique_ptr<ReplicaChannel>>> channels(
+      endpoints.size());
+  for (size_t s = 0; s < endpoints.size(); ++s) {
+    channels[s].push_back(
+        std::make_unique<SocketReplicaChannel>(endpoints[s], config));
+  }
+  return channels;
+}
+
 /// The rendezvous between one logical Send's coordinator and its physical
 /// attempts. Attempts own a shared_ptr, so the state (and the request
 /// bytes inside it) outlives a coordinator that returned on deadline
@@ -355,8 +367,8 @@ Result<std::string> ReplicaSetTransport::RoundTripFrom(
   lock.unlock();
 
   if (transport_metrics_ != nullptr) {
-    // The logical per-shard row: one round-trip per Send, as with
-    // SocketTransport, so R=1 and R>1 dashboards stay comparable.
+    // The logical per-shard row: one round-trip per Send, so R=1 and R>1
+    // dashboards stay comparable.
     // (Bytes of attempts still in flight land in later rows.)
     const double rtt = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)

@@ -63,10 +63,19 @@ class SocketReplicaChannel : public ReplicaChannel {
   net::EndpointClient client_;
 };
 
+/// The plain socket fleet: one SocketReplicaChannel per shard (R=1),
+/// `endpoints[s]` serving shard s — the channel grid a ReplicaSetTransport
+/// takes when every shard is a single server process.
+std::vector<std::vector<std::unique_ptr<ReplicaChannel>>> SocketShardChannels(
+    const std::vector<net::ShardEndpoint>& endpoints,
+    const net::EndpointClientConfig& config = net::EndpointClientConfig{});
+
 struct ReplicaSetConfig {
   /// End-to-end deadline of one logical Send, covering every attempt
-  /// (primary, hedge, failovers) under it. Must stay finite — see
-  /// SocketTransportConfig::request_timeout_seconds for why.
+  /// (primary, hedge, failovers) under it; 0 means none. Over sockets it
+  /// must stay finite: the executor's gather deadline abandons the future
+  /// but cannot free the threads carrying it, so a hung shard would wedge
+  /// them forever.
   double request_timeout_seconds = 30.0;
 
   /// Hedged reads: when the primary attempt has not answered within the
@@ -81,7 +90,8 @@ struct ReplicaSetConfig {
   uint64_t hedge_min_samples = 32;
 
   /// Coordinator threads (one logical in-flight Send each); 0 means
-  /// min(2 × shards, 16) — mirroring SocketTransportConfig::io_threads.
+  /// min(2 × shards, 16), at least 2. Each in-flight Send occupies one
+  /// coordinator for its whole round-trip, so this bounds concurrency.
   size_t coordinator_threads = 0;
   /// Attempt threads (one per in-flight physical round-trip; a logical
   /// Send can hold several at once while hedging); 0 means
@@ -117,18 +127,18 @@ struct ReplicaSetConfig {
 ///    stamps lagging the shard's epoch high-water mark quarantine the
 ///    replica until it catches up.
 ///
-/// From the executor's point of view this is exactly a SocketTransport:
-/// Send never blocks, the future always becomes ready, failures come back
-/// as Status. Swapping R=1 SocketTransport for R>1 ReplicaSetTransport
-/// changes no executor code.
+/// This is the program's only wire::ShardTransport. At R=1 it is the plain
+/// transport: over SocketReplicaChannels (SocketShardChannels) it is the
+/// cross-process fleet, over LoopbackReplicaChannels the executor's
+/// built-in in-process path. Send never blocks, the future always becomes
+/// ready, and failures come back as Status, so R changes no executor code.
 class ReplicaSetTransport : public wire::ShardTransport {
  public:
   /// `channels[s]` are shard s's replicas, best-effort identical content;
   /// every shard needs ≥ 1. `transport_metrics` (optional, non-owning)
-  /// receives the per-shard logical view (one row per Send, as with
-  /// SocketTransport) — pass the executor's transport_metrics() so
-  /// dashboards stay comparable across transports; per-replica telemetry
-  /// lives in replica_metrics().
+  /// receives the per-shard logical view (one row per Send) — pass the
+  /// executor's transport_metrics() so a transport swap keeps one
+  /// telemetry stream; per-replica telemetry lives in replica_metrics().
   ReplicaSetTransport(
       std::vector<std::vector<std::unique_ptr<ReplicaChannel>>> channels,
       ReplicaSetConfig config = ReplicaSetConfig{},

@@ -20,47 +20,21 @@ obs::HistogramValue HistValue(const obs::LatencyHistogram& hist) {
   return value;
 }
 
+/// The same histogram as a summary sample: exact count/mean/max,
+/// bucket-resolution p50/p95/p99.
+obs::SummaryValue SummaryOf(const obs::LatencyHistogram& hist) {
+  obs::SummaryValue value;
+  value.count = hist.count();
+  if (hist.count() == 0) return value;
+  value.mean = hist.sum() / static_cast<double>(hist.count());
+  value.p50 = hist.Quantile(0.50);
+  value.p95 = hist.Quantile(0.95);
+  value.p99 = hist.Quantile(0.99);
+  value.max = hist.max();
+  return value;
+}
+
 }  // namespace
-
-void LatencyReservoir::Record(double seconds) {
-  ++count_;
-  sum_ += seconds;
-  max_ = std::max(max_, seconds);
-  if (sample_.size() < kCapacity) {
-    sample_.push_back(seconds);
-    return;
-  }
-  // Algorithm-R style replacement with a deterministic slot draw: the
-  // multiplicative hash spreads the counter uniformly over [0, count_).
-  uint64_t draw = (count_ * 0x9e3779b97f4a7c15ULL) >> 11;
-  uint64_t pos = draw % count_;
-  if (pos < kCapacity) sample_[pos] = seconds;
-}
-
-LatencyReservoir::Summary LatencyReservoir::Summarize() const {
-  Summary s;
-  s.count = count_;
-  if (count_ == 0) return s;
-  s.mean = sum_ / static_cast<double>(count_);
-  s.max = max_;
-  std::vector<double> sorted = sample_;
-  std::sort(sorted.begin(), sorted.end());
-  auto percentile = [&sorted](double p) {
-    size_t idx = static_cast<size_t>(p * static_cast<double>(sorted.size()));
-    return sorted[std::min(idx, sorted.size() - 1)];
-  };
-  s.p50 = percentile(0.50);
-  s.p95 = percentile(0.95);
-  s.p99 = percentile(0.99);
-  return s;
-}
-
-void LatencyReservoir::Reset() {
-  sample_.clear();
-  count_ = 0;
-  sum_ = 0.0;
-  max_ = 0.0;
-}
 
 std::string ServiceMetrics::SlotName(size_t slot) {
   if (slot == kTripleSlot) return "Triple";
@@ -76,7 +50,6 @@ void ServiceMetrics::RecordRequest(size_t slot, double seconds,
   if (cache_hit) ++s.cache_hits;
   if (!ok) ++s.errors;
   s.latency.Record(seconds);
-  s.latency_hist.Record(seconds);
 }
 
 void ServiceMetrics::RecordCost(size_t slot, const obs::CostCounters& cost) {
@@ -118,7 +91,6 @@ void ServiceMetrics::RecordClassLatency(size_t cls, double seconds) {
   TSB_CHECK_LT(cls, kNumClasses);
   std::lock_guard<std::mutex> lock(classes_[cls].mu);
   classes_[cls].latency.Record(seconds);
-  classes_[cls].latency_hist.Record(seconds);
 }
 
 void ServiceMetrics::RecordScanStats(uint64_t rows_scanned,
@@ -142,7 +114,6 @@ void ServiceMetrics::Reset() {
     s.cache_hits = 0;
     s.errors = 0;
     s.latency.Reset();
-    s.latency_hist.Reset();
     s.cost = obs::CostCounters{};
   }
   for (ClassSlot& c : classes_) {
@@ -152,7 +123,6 @@ void ServiceMetrics::Reset() {
     c.deadline_shed = 0;
     c.cancelled = 0;
     c.latency.Reset();
-    c.latency_hist.Reset();
   }
   {
     std::lock_guard<std::mutex> lock(shard_mu_);
@@ -179,8 +149,7 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
     row.requests = s.requests;
     row.cache_hits = s.cache_hits;
     row.errors = s.errors;
-    row.latency = s.latency.Summarize();
-    row.latency_hist = s.latency_hist;
+    row.latency = s.latency;
     row.cost = s.cost;
     snap.total_requests += row.requests;
     snap.total_cache_hits += row.cache_hits;
@@ -197,8 +166,7 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
     row.rejected = c.rejected;
     row.deadline_shed = c.deadline_shed;
     row.cancelled = c.cancelled;
-    row.latency = c.latency.Summarize();
-    row.latency_hist = c.latency_hist;
+    row.latency = c.latency;
     snap.classes.push_back(std::move(row));
   }
   {
@@ -229,8 +197,9 @@ std::string MetricsSnapshot::ToString() const {
                   static_cast<unsigned long long>(row.requests),
                   static_cast<unsigned long long>(row.cache_hits),
                   static_cast<unsigned long long>(row.errors),
-                  row.latency.p50 * 1e3, row.latency.p95 * 1e3,
-                  row.latency.p99 * 1e3);
+                  row.latency.Quantile(0.50) * 1e3,
+                  row.latency.Quantile(0.95) * 1e3,
+                  row.latency.Quantile(0.99) * 1e3);
     out += line;
   }
   for (const PriorityClassSnapshot& row : classes) {
@@ -246,7 +215,8 @@ std::string MetricsSnapshot::ToString() const {
                   static_cast<unsigned long long>(row.rejected),
                   static_cast<unsigned long long>(row.deadline_shed),
                   static_cast<unsigned long long>(row.cancelled),
-                  row.latency.p95 * 1e3, row.latency.p99 * 1e3);
+                  row.latency.Quantile(0.95) * 1e3,
+                  row.latency.Quantile(0.99) * 1e3);
     out += line;
   }
   if (!shard_rows.empty()) {
@@ -299,7 +269,6 @@ void TransportMetrics::RecordRoundTrip(size_t shard, uint64_t bytes_sent,
   s.bytes_sent += bytes_sent;
   s.bytes_received += bytes_received;
   s.rtt.Record(rtt_seconds);
-  s.rtt_hist.Record(rtt_seconds);
 }
 
 void TransportMetrics::RecordReconnect(size_t shard) {
@@ -321,8 +290,7 @@ TransportMetricsSnapshot TransportMetrics::Snapshot() const {
     row.bytes_sent = s.bytes_sent;
     row.bytes_received = s.bytes_received;
     row.reconnects = s.reconnects;
-    row.rtt = s.rtt.Summarize();
-    row.rtt_hist = s.rtt_hist;
+    row.rtt = s.rtt;
     snap.total.requests += row.requests;
     snap.total.failures += row.failures;
     snap.total.bytes_sent += row.bytes_sent;
@@ -343,7 +311,6 @@ void TransportMetrics::Reset() {
     s.bytes_received = 0;
     s.reconnects = 0;
     s.rtt.Reset();
-    s.rtt_hist.Reset();
   }
 }
 
@@ -363,7 +330,8 @@ std::string TransportMetricsSnapshot::ToString() const {
         static_cast<unsigned long long>(row.reconnects),
         static_cast<unsigned long long>(row.bytes_sent),
         static_cast<unsigned long long>(row.bytes_received),
-        row.rtt.p50 * 1e3, row.rtt.p95 * 1e3, row.rtt.p99 * 1e3);
+        row.rtt.Quantile(0.50) * 1e3, row.rtt.Quantile(0.95) * 1e3,
+        row.rtt.Quantile(0.99) * 1e3);
     out += line;
   }
   std::snprintf(line, sizeof(line),
@@ -417,7 +385,6 @@ void ReplicaMetrics::RecordOutcome(size_t shard, size_t replica,
                      : kEwmaAlpha * rtt_seconds +
                            (1.0 - kEwmaAlpha) * r.rtt_ewma;
     r.rtt.Record(rtt_seconds);
-    r.rtt_hist.Record(rtt_seconds);
   }
   ShardSlot& s = shards_[shard];
   std::lock_guard<std::mutex> lock(s.mu);
@@ -496,7 +463,7 @@ double ReplicaMetrics::ShardRttP95(size_t shard,
   const ShardSlot& s = shards_[shard];
   std::lock_guard<std::mutex> lock(s.mu);
   if (s.shard_attempts < min_samples) return 0.0;
-  return s.shard_rtt.Summarize().p95;
+  return s.shard_rtt.Quantile(0.95);
 }
 
 ReplicaMetricsSnapshot ReplicaMetrics::Snapshot() const {
@@ -525,8 +492,7 @@ ReplicaMetricsSnapshot ReplicaMetrics::Snapshot() const {
       row.quarantines = r.quarantines;
       row.outstanding = r.outstanding.load(std::memory_order_relaxed);
       row.rtt_ewma = r.rtt_ewma;
-      row.rtt = r.rtt.Summarize();
-      row.rtt_hist = r.rtt_hist;
+      row.rtt = r.rtt;
       shard_row.replicas.push_back(std::move(row));
     }
     snap.shards.push_back(std::move(shard_row));
@@ -557,7 +523,6 @@ void ReplicaMetrics::Reset() {
       r.quarantines = 0;
       r.rtt_ewma = 0.0;
       r.rtt.Reset();
-      r.rtt_hist.Reset();
       // outstanding is owned by in-flight attempts; leave the gauge alone.
     }
   }
@@ -584,7 +549,8 @@ std::string ReplicaMetricsSnapshot::ToString() const {
           static_cast<unsigned long long>(row.hedge_wins),
           static_cast<unsigned long long>(row.ejections),
           static_cast<unsigned long long>(row.outstanding),
-          row.rtt_ewma * 1e3, row.rtt.p95 * 1e3, row.rtt.p99 * 1e3);
+          row.rtt_ewma * 1e3, row.rtt.Quantile(0.95) * 1e3,
+          row.rtt.Quantile(0.99) * 1e3);
       out += line;
     }
     if (shard_row.hedges_launched != 0 || shard_row.failovers != 0 ||
@@ -619,10 +585,10 @@ void ServiceMetrics::Collect(obs::MetricsSink* sink) const {
                   static_cast<double>(row.errors));
     sink->Summary("tsb_service_latency_seconds",
                   "End-to-end service latency", labels,
-                  row.latency.ToSummaryValue());
+                  SummaryOf(row.latency));
     sink->Histogram("tsb_service_latency_hist_seconds",
                     "End-to-end service latency (mergeable buckets)",
-                    labels, HistValue(row.latency_hist));
+                    labels, HistValue(row.latency));
     sink->Counter("tsb_service_cpu_seconds_total",
                   "Thread CPU burned executing this method", labels,
                   static_cast<double>(row.cost.cpu_ns) / 1e9);
@@ -652,10 +618,10 @@ void ServiceMetrics::Collect(obs::MetricsSink* sink) const {
                   static_cast<double>(row.cancelled));
     sink->Summary("tsb_service_class_latency_seconds",
                   "End-to-end latency per admission class", labels,
-                  row.latency.ToSummaryValue());
+                  SummaryOf(row.latency));
     sink->Histogram("tsb_service_class_latency_hist_seconds",
                     "Per-class latency (mergeable buckets)", labels,
-                    HistValue(row.latency_hist));
+                    HistValue(row.latency));
   }
   for (size_t s = 0; s < snap.shard_rows.size(); ++s) {
     sink->Gauge("tsb_service_shard_rows", "AllTops rows per shard",
@@ -700,10 +666,10 @@ void TransportMetrics::Collect(obs::MetricsSink* sink) const {
                   static_cast<double>(row.reconnects));
     sink->Summary("tsb_transport_rtt_seconds",
                   "Send-to-response round-trip time", labels,
-                  row.rtt.ToSummaryValue());
+                  SummaryOf(row.rtt));
     sink->Histogram("tsb_transport_rtt_hist_seconds",
                     "Round-trip time (mergeable buckets)", labels,
-                    HistValue(row.rtt_hist));
+                    HistValue(row.rtt));
   }
 }
 
@@ -747,10 +713,10 @@ void ReplicaMetrics::Collect(obs::MetricsSink* sink) const {
       sink->Gauge("tsb_replica_rtt_ewma_seconds",
                   "Load-routing RTT EWMA", labels, row.rtt_ewma);
       sink->Summary("tsb_replica_rtt_seconds", "Attempt round-trip time",
-                    labels, row.rtt.ToSummaryValue());
+                    labels, SummaryOf(row.rtt));
       sink->Histogram("tsb_replica_rtt_hist_seconds",
                       "Attempt round-trip time (mergeable buckets)",
-                      labels, HistValue(row.rtt_hist));
+                      labels, HistValue(row.rtt));
     }
     const Labels labels = {{"shard", shard_label}};
     if (shard_row.hedges_launched != 0 || shard_row.failovers != 0 ||
@@ -779,7 +745,7 @@ obs::FleetSnapshot BuildFleetSnapshot(const MetricsSnapshot& service,
     method.requests = row.requests;
     method.cache_hits = row.cache_hits;
     method.errors = row.errors;
-    method.latency = row.latency_hist;
+    method.latency = row.latency;
     method.cost = row.cost;
     snap.methods.push_back(std::move(method));
   }

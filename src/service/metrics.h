@@ -18,48 +18,6 @@
 namespace tsb {
 namespace service {
 
-/// Fixed-size reservoir sample of latencies with exact count/sum/max.
-/// Replacement uses a deterministic multiplicative hash of the observation
-/// counter — statistically uniform, reproducible, and lock-cheap (callers
-/// hold the owning mutex).
-class LatencyReservoir {
- public:
-  static constexpr size_t kCapacity = 512;
-
-  void Record(double seconds);
-
-  struct Summary {
-    uint64_t count = 0;
-    double mean = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    double max = 0.0;
-
-    /// The registry-facing view of this summary (field-by-field copy).
-    obs::SummaryValue ToSummaryValue() const {
-      obs::SummaryValue value;
-      value.count = count;
-      value.mean = mean;
-      value.p50 = p50;
-      value.p95 = p95;
-      value.p99 = p99;
-      value.max = max;
-      return value;
-    }
-  };
-  /// Percentiles come from the reservoir sample; count/mean/max are exact.
-  Summary Summarize() const;
-
-  void Reset();
-
- private:
-  std::vector<double> sample_;
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Per-method serving counters. One row per engine method plus one for
 /// 3-queries (kTripleSlot).
 struct MethodStatsSnapshot {
@@ -67,10 +25,10 @@ struct MethodStatsSnapshot {
   uint64_t requests = 0;     // Admitted requests (hits + executions).
   uint64_t cache_hits = 0;
   uint64_t errors = 0;       // Admitted but failed in the engine.
-  LatencyReservoir::Summary latency;  // End-to-end service latency.
-  /// Same latencies in fixed log buckets: unlike the reservoir summary,
-  /// bucket counts merge exactly across processes (`topctl top`).
-  obs::LatencyHistogram latency_hist;
+  /// End-to-end service latency. Exact count/sum/max; quantiles at bucket
+  /// resolution (obs/histogram.h), and bucket counts merge exactly across
+  /// processes (`topctl top`).
+  obs::LatencyHistogram latency;
   /// Aggregate resource bill for this method (obs::CostTracker).
   obs::CostCounters cost;
 };
@@ -82,8 +40,7 @@ struct PriorityClassSnapshot {
   uint64_t rejected = 0;       // Bounced: class queue at its bound.
   uint64_t deadline_shed = 0;  // Dequeued after the deadline expired.
   uint64_t cancelled = 0;      // Stream cancelled before execution.
-  LatencyReservoir::Summary latency;  // End-to-end, executed requests.
-  obs::LatencyHistogram latency_hist;  // Mergeable bucket view.
+  obs::LatencyHistogram latency;  // End-to-end, executed requests.
 };
 
 struct MetricsSnapshot {
@@ -115,7 +72,7 @@ struct MetricsSnapshot {
 };
 
 /// Thread-safe serving metrics: requests, cache hits, errors, rejections,
-/// and per-method p50/p95/p99 latency via reservoir sampling.
+/// and per-method p50/p95/p99 latency from exact log-bucket histograms.
 ///
 /// Also an obs::MetricsSource: registered with a process's
 /// obs::MetricsRegistry it exports every counter under tsb_service_*
@@ -165,8 +122,7 @@ class ServiceMetrics : public obs::MetricsSource {
     uint64_t requests = 0;
     uint64_t cache_hits = 0;
     uint64_t errors = 0;
-    LatencyReservoir latency;
-    obs::LatencyHistogram latency_hist;
+    obs::LatencyHistogram latency;
     obs::CostCounters cost;
   };
 
@@ -176,8 +132,7 @@ class ServiceMetrics : public obs::MetricsSource {
     uint64_t rejected = 0;
     uint64_t deadline_shed = 0;
     uint64_t cancelled = 0;
-    LatencyReservoir latency;
-    obs::LatencyHistogram latency_hist;
+    obs::LatencyHistogram latency;
   };
 
   std::array<Slot, kNumSlots> slots_;
@@ -199,14 +154,12 @@ struct TransportShardSnapshot {
   uint64_t bytes_sent = 0;      // Encoded request frame bytes.
   uint64_t bytes_received = 0;  // Encoded response frame bytes.
   uint64_t reconnects = 0;      // Successful dials after a failure.
-  LatencyReservoir::Summary rtt;  // Send-to-response round-trip time.
-  obs::LatencyHistogram rtt_hist;  // Mergeable bucket view of the same.
+  obs::LatencyHistogram rtt;    // Send-to-response round-trip time.
 };
 
 struct TransportMetricsSnapshot {
   std::vector<TransportShardSnapshot> shards;
-  /// Sums over shards (rtt percentiles are omitted from the total row —
-  /// per-shard reservoirs do not merge exactly).
+  /// Sums over shards (counters only; the total row carries no rtt).
   TransportShardSnapshot total;
 
   /// Multi-line human-readable table (one row per shard with traffic).
@@ -214,10 +167,10 @@ struct TransportMetricsSnapshot {
 };
 
 /// Thread-safe per-shard transport telemetry: send/recv byte counters,
-/// request RTT p50/p95, failure and reconnect counts. One implementation
-/// shared by every wire::ShardTransport — the in-process LoopbackTransport
-/// and the cross-process net::SocketTransport record through the same
-/// object, so swapping transports keeps the dashboards comparable.
+/// request RTT p50/p95, failure and reconnect counts. The executor's
+/// built-in in-process transport and an injected socket transport record
+/// through the same object, so swapping transports keeps the dashboards
+/// comparable.
 class TransportMetrics : public obs::MetricsSource {
  public:
   explicit TransportMetrics(size_t num_shards);
@@ -248,8 +201,7 @@ class TransportMetrics : public obs::MetricsSource {
     uint64_t bytes_sent = 0;
     uint64_t bytes_received = 0;
     uint64_t reconnects = 0;
-    LatencyReservoir rtt;
-    obs::LatencyHistogram rtt_hist;
+    obs::LatencyHistogram rtt;
   };
 
   size_t num_shards_;
@@ -269,8 +221,7 @@ struct ReplicaSnapshot {
   uint64_t quarantines = 0;    // Stale-epoch quarantine entries.
   uint64_t outstanding = 0;    // In-flight right now (gauge).
   double rtt_ewma = 0.0;       // Load-routing signal (seconds).
-  LatencyReservoir::Summary rtt;
-  obs::LatencyHistogram rtt_hist;  // Mergeable bucket view.
+  obs::LatencyHistogram rtt;   // Attempt round-trip time.
 };
 
 struct ReplicaShardSnapshot {
@@ -351,8 +302,7 @@ class ReplicaMetrics : public obs::MetricsSource {
     uint64_t quarantines = 0;
     std::atomic<uint64_t> outstanding{0};
     double rtt_ewma = 0.0;
-    LatencyReservoir rtt;
-    obs::LatencyHistogram rtt_hist;
+    obs::LatencyHistogram rtt;
   };
 
   struct ShardSlot {
@@ -361,7 +311,7 @@ class ReplicaMetrics : public obs::MetricsSource {
     uint64_t hedges_launched = 0;
     uint64_t failovers = 0;
     uint64_t exhausted = 0;
-    LatencyReservoir shard_rtt;  // Pooled over replicas (hedge base).
+    obs::LatencyHistogram shard_rtt;  // Pooled over replicas (hedge base).
     uint64_t shard_attempts = 0;
   };
 

@@ -202,6 +202,9 @@ Status TopologyService::EnableMutations(
       db_, schema, std::move(handles), std::move(options));
   mutation_engine_->set_delta_log(log);
   mutation_log_ = log;
+  // Without the lane every apply adds one overlay generation and nothing
+  // ever folds them.
+  mutation_engine_->StartCompaction();
   return Status::OK();
 }
 

@@ -225,7 +225,9 @@ class TopologyService {
   /// store (every shard handle when sharded; the AttachLiveStore handle
   /// otherwise — call AttachLiveStore first). `log` (not owned, may be
   /// null) makes applies durable: each accepted batch is fsync'd to the
-  /// WAL before its overlay epoch becomes visible.
+  /// WAL before its overlay epoch becomes visible. Also starts the
+  /// engine's background compaction lane, so the overlay chain folds once
+  /// `options.compaction_min_generations` accumulate.
   Status EnableMutations(mutation::MutationEngine::Options options,
                          mutation::DeltaLog* log = nullptr);
 

@@ -38,10 +38,11 @@ struct ShardObservability {
 /// catalog, evaluates it on this shard's engine (2-query sub-queries) or
 /// store snapshot (triple-collect scans), and encodes the response frame.
 ///
-/// This is the single dispatch implementation behind both transports —
-/// LoopbackTransport calls it in-process, net::ShardServer calls it per
-/// received socket frame — so the byte-identity guarantees proven on the
-/// loopback path carry over to the cross-process path by construction.
+/// This is the single dispatch implementation behind both channel kinds —
+/// LoopbackReplicaChannel calls it in-process, net::ShardServer calls it
+/// per received socket frame — so the byte-identity guarantees proven on
+/// the in-process path carry over to the cross-process path by
+/// construction.
 class ShardFrameHandler {
  public:
   /// Provider of the store snapshot triple-collect scans run against —

@@ -77,9 +77,10 @@ struct LoopbackReplicaGrid {
   std::vector<std::vector<LoopbackReplicaChannel*>> raw;
 };
 
-/// `engines[s]` is shard s's engine (as for LoopbackTransport); every
-/// replica of a shard shares the shard's engine and store handle — the
-/// in-process analogue of R processes that built identical shards.
+/// `engines[s]` is shard s's engine; every replica of a shard shares the
+/// shard's engine and store handle — the in-process analogue of R
+/// processes that built identical shards. At R=1 this is the
+/// ScatterGatherExecutor's built-in transport.
 LoopbackReplicaGrid MakeLoopbackReplicaGrid(
     storage::Catalog* db, const ShardedTopologyStore* store,
     const std::vector<const engine::Engine*>& engines, size_t replicas);

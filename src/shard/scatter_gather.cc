@@ -1,11 +1,9 @@
 #include "shard/scatter_gather.h"
 
-#include <algorithm>
 #include <chrono>
 #include <future>
 #include <limits>
 #include <queue>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -16,17 +14,6 @@
 
 namespace tsb {
 namespace shard {
-
-namespace {
-
-size_t ResolveScatterThreads(size_t requested, size_t num_shards) {
-  if (requested > 0) return requested;
-  size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 4;
-  return std::max<size_t>(1, std::min(num_shards, hw));
-}
-
-}  // namespace
 
 std::vector<engine::ResultEntry> MergeRankedPartials(
     const std::vector<std::vector<engine::ResultEntry>>& partials,
@@ -78,8 +65,6 @@ ScatterGatherExecutor::ScatterGatherExecutor(
       schema_(schema),
       view_(view),
       config_(config),
-      scatter_pool_(ResolveScatterThreads(config.num_scatter_threads,
-                                          store_->num_shards())),
       transport_metrics_(store_->num_shards()) {
   TSB_CHECK(db_ != nullptr);
   TSB_CHECK(store_ != nullptr);
@@ -96,13 +81,16 @@ ScatterGatherExecutor::ScatterGatherExecutor(
   for (const std::unique_ptr<engine::Engine>& e : engines_) {
     engine_ptrs.push_back(e.get());
   }
-  loopback_ = std::make_unique<LoopbackTransport>(
-      db_, store_.get(), std::move(engine_ptrs), &scatter_pool_,
-      &transport_metrics_);
-  transport_ = loopback_.get();
+  // No transport deadline in-process: a loopback round-trip cannot hang
+  // on a socket, and subquery_timeout_seconds already bounds the gather.
+  replica::ReplicaSetConfig transport_config;
+  transport_config.request_timeout_seconds = 0.0;
+  builtin_ = std::make_unique<replica::ReplicaSetTransport>(
+      MakeLoopbackReplicaGrid(db_, store_.get(), engine_ptrs, /*replicas=*/1)
+          .channels,
+      transport_config, &transport_metrics_);
+  transport_ = builtin_.get();
 }
-
-ScatterGatherExecutor::~ScatterGatherExecutor() { scatter_pool_.Shutdown(); }
 
 ScatterGatherExecutor::GatherDeadline
 ScatterGatherExecutor::StartGatherDeadline() const {
@@ -186,7 +174,7 @@ Result<engine::QueryResult> ScatterGatherExecutor::Execute(
 
   // Scatter: the designated shard runs on this thread (guaranteed
   // progress); every other shard's sub-query crosses the transport seam
-  // as an encoded wire frame and rides the dedicated scatter lane.
+  // as an encoded wire frame.
   // Non-designated shards skip the pruned online checks — those verify
   // against the shared data graph and replicated exception tables, so the
   // designated shard's verdicts already cover the whole store.

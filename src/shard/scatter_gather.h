@@ -15,8 +15,9 @@
 #include "engine/nquery.h"
 #include "engine/query.h"
 #include "obs/trace.h"
-#include "service/thread_pool.h"
-#include "shard/loopback_transport.h"
+#include "replica/replica_set.h"
+#include "service/metrics.h"
+#include "shard/replica_loopback.h"
 #include "shard/router.h"
 #include "shard/sharded_store.h"
 #include "wire/transport.h"
@@ -65,13 +66,6 @@ struct ScatterStats {
 };
 
 struct ScatterGatherConfig {
-  /// Dedicated sub-query workers; 0 means min(num_shards,
-  /// hardware_concurrency). This lane is intentionally *not* the service's
-  /// request pool: an outer query blocks on its sub-queries, and blocking
-  /// pool tasks on tasks queued behind them in the same pool deadlocks
-  /// once every worker holds an outer query. A separate lane (same
-  /// service::ThreadPool class) keeps the wait-for graph acyclic.
-  size_t num_scatter_threads = 0;
   /// Per-shard sub-query deadline in seconds; 0 waits indefinitely. A
   /// sub-query still pending at the deadline counts as a failed shard.
   double subquery_timeout_seconds = 0.0;
@@ -101,16 +95,20 @@ struct ScatterGatherConfig {
 ///
 /// Transport seam: every non-designated sub-query (and every triple scan
 /// slice) travels as an encoded wire frame through a wire::ShardTransport
-/// — by default the in-process LoopbackTransport over this executor's own
-/// engines, so the serialize → dispatch → deserialize path is exercised
-/// (and byte-identity-tested) before a socket transport ever exists. A
-/// shard that fails or misses the sub-query deadline degrades the answer
+/// — by default a replica::ReplicaSetTransport with one
+/// LoopbackReplicaChannel per shard (R=1) over this executor's own
+/// engines, so the in-process path runs the same serialize → dispatch →
+/// deserialize code and the same routing layer as a socket fleet. A shard
+/// that fails or misses the sub-query deadline degrades the answer
 /// (partial=true) instead of failing it when tolerate_shard_failures is
 /// set.
 ///
 /// Thread safety: Execute/ExecuteTriple are safe from any number of
-/// threads; per-shard engines are concurrency-safe and sub-queries ride a
-/// dedicated scatter pool.
+/// threads; per-shard engines are concurrency-safe and sub-queries ride
+/// the transport's own coordinator threads. Those are never the service's
+/// request pool: an outer query blocks on its sub-queries, and blocking
+/// pool tasks on tasks queued behind them in the same pool would deadlock
+/// once every worker held an outer query.
 class ScatterGatherExecutor {
  public:
   ScatterGatherExecutor(storage::Catalog* db,
@@ -121,7 +119,6 @@ class ScatterGatherExecutor {
                         engine::SqlBaselineOptions sql_options =
                             engine::SqlBaselineOptions{},
                         ScatterGatherConfig config = ScatterGatherConfig{});
-  ~ScatterGatherExecutor();
 
   ScatterGatherExecutor(const ScatterGatherExecutor&) = delete;
   ScatterGatherExecutor& operator=(const ScatterGatherExecutor&) = delete;
@@ -159,21 +156,26 @@ class ScatterGatherExecutor {
     return *engines_[shard];
   }
 
-  /// Overrides the sub-query transport (tests inject failing/slow
-  /// wrappers; net::SocketTransport routes sub-queries to shard server
+  /// Overrides the sub-query transport (a replica::ReplicaSetTransport
+  /// over SocketReplicaChannels routes sub-queries to shard server
   /// processes). Non-owning; the transport must outlive the executor.
-  /// Pass nullptr to restore the built-in loopback. Not safe to call
-  /// concurrently with queries.
+  /// Pass nullptr to restore the built-in in-process transport. Not safe
+  /// to call concurrently with queries.
   void set_transport(wire::ShardTransport* transport) {
-    transport_ = transport != nullptr ? transport : loopback_.get();
+    transport_ = transport != nullptr ? transport : builtin_.get();
   }
   wire::ShardTransport* transport() const { return transport_; }
-  const LoopbackTransport& loopback() const { return *loopback_; }
-  LoopbackTransport* mutable_loopback() { return loopback_.get(); }
+
+  /// Shard i's channel in the built-in transport: its fault switches
+  /// (SetDown, InjectFailures, SetDelay) stand in for a dead, flaky, or
+  /// slow shard process.
+  LoopbackReplicaChannel& loopback_channel(size_t shard) {
+    return static_cast<LoopbackReplicaChannel&>(builtin_->channel(shard, 0));
+  }
 
   /// Per-shard transport telemetry (bytes, RTT p50/p95, reconnects). The
-  /// built-in loopback records into it; hand it to an injected
-  /// net::SocketTransport so a transport swap keeps one telemetry stream.
+  /// built-in transport records into it; hand it to an injected
+  /// transport so a transport swap keeps one telemetry stream.
   service::TransportMetrics* transport_metrics() const {
     return &transport_metrics_;
   }
@@ -206,14 +208,12 @@ class ScatterGatherExecutor {
   ScatterGatherConfig config_;
   ShardRouter router_;
   std::vector<std::unique_ptr<engine::Engine>> engines_;
-  /// Dedicated sub-query lane (see ScatterGatherConfig).
-  mutable service::ThreadPool scatter_pool_;
-  /// Shared per-shard transport telemetry (loopback records into it; an
-  /// injected socket transport should too — see transport_metrics()).
+  /// Shared per-shard transport telemetry (the built-in transport records
+  /// into it; an injected one should too — see transport_metrics()).
   mutable service::TransportMetrics transport_metrics_;
-  /// Default in-process transport over engines_; transport_ points at it
-  /// unless a test (or the socket seam) overrides.
-  std::unique_ptr<LoopbackTransport> loopback_;
+  /// Built-in in-process transport over engines_ (declared after them, so
+  /// it shuts down first); transport_ points at it unless overridden.
+  std::unique_ptr<replica::ReplicaSetTransport> builtin_;
   wire::ShardTransport* transport_ = nullptr;
 
   mutable std::mutex stats_mu_;

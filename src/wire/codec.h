@@ -22,10 +22,9 @@ namespace wire {
 /// Decoders reject bad magic, unknown versions/kinds, length mismatches,
 /// and trailing payload bytes.
 ///
-/// Encoders always emit kWireVersion; decoders accept every version in
-/// [kMinWireVersion, kWireVersion]. Fields added by a newer version sit at
-/// the payload tail, so an older payload simply ends before them and the
-/// decoder fills the defaults (empty trace context, no spans).
+/// Encoders emit kWireVersion and decoders accept only kWireVersion: every
+/// process of a fleet is built from one tree, so a frame of any other
+/// version answers kUnsupportedVersion instead of being reinterpreted.
 ///
 /// Requests carry predicates as structural trees
 /// (storage::DecodePredicate), re-resolved against the decoding side's
@@ -73,8 +72,8 @@ enum class FrameError : uint8_t {
   /// bytes can never become a valid frame; a connection carrying them is
   /// poisoned and must be closed.
   kMalformedFrame = 2,
-  /// Valid magic but a version this build does not speak. Distinct from
-  /// malformed so a mixed-version deployment can answer "upgrade me"
+  /// Valid magic but a version other than kWireVersion. Distinct from
+  /// malformed so a peer built from another tree hears "rebuild me"
   /// instead of "you sent garbage".
   kUnsupportedVersion = 3,
 };

@@ -40,9 +40,7 @@ namespace wire {
 ///       list after service_seconds, so a frontend assembles one
 ///       cross-process trace per sampled query. New kAdminRequest /
 ///       kAdminResponse frames let tools/topctl pull metrics, traces, and
-///       slow-query records from a live server. v3 frames still decode
-///       (empty trace context, no spans): trace fields sit at the payload
-///       tail, so a v3 payload simply ends before them.
+///       slow-query records from a live server.
 ///   5 — incremental updates: new kMutationRequest / kMutationResponse
 ///       frames carry a MutationBatch to a serving process and return the
 ///       apply outcome (TopologyService::ApplyMutations / the shard
@@ -58,14 +56,13 @@ namespace wire {
 ///       into the router's ExecStats. New AdminCommand::kCostSnapshot
 ///       streams an obs::FleetSnapshot (mergeable histograms + cost
 ///       counters + top-cost queries) for `topctl top`. Query requests
-///       are unchanged from v4; v5 and older frames still decode (spans
-///       without cpu, zero cost counters).
-
+///       are unchanged from v4.
+///
+/// Only the current version is spoken: encoders emit kWireVersion and
+/// decoders reject every other version as kUnsupportedVersion. The fleet
+/// is built from one tree, so no older peer exists to stay compatible
+/// with; the history above documents what each bump added.
 inline constexpr uint8_t kWireVersion = 6;
-
-/// Oldest version this build still decodes. Encoders always emit
-/// kWireVersion; decoders branch on the received header version.
-inline constexpr uint8_t kMinWireVersion = 3;
 
 /// Admission class of a request. Interactive top-k lookups and batch
 /// SQL-baseline scans differ by orders of magnitude in cost (the paper's
@@ -133,8 +130,7 @@ struct WireRequest {
   engine::MethodKind method = engine::MethodKind::kFastTopKEt;
   engine::ExecOptions options;
 
-  /// Distributed-tracing context (v4+). Inactive for untraced traffic and
-  /// for every frame decoded from a v3 peer.
+  /// Distributed-tracing context. Inactive for untraced traffic.
   obs::TraceContext trace;
 };
 
@@ -152,9 +148,9 @@ struct WireResponse {
   bool from_cache = false;
   double service_seconds = 0.0;
 
-  /// Spans the responder recorded while serving a traced request (v4+),
+  /// Spans the responder recorded while serving a traced request,
   /// piggybacked so the requesting frontend absorbs them into its own
-  /// trace. Empty for untraced traffic and v3 frames.
+  /// trace. Empty for untraced traffic.
   std::vector<obs::Span> spans;
 };
 

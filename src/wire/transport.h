@@ -18,10 +18,10 @@ namespace wire {
 /// The process-boundary seam of the sharded executor: sub-queries travel
 /// to a shard as one encoded request frame (wire/codec.h) and come back as
 /// one encoded response frame, even in-process. ScatterGatherExecutor
-/// speaks only this interface for its fan-out, so swapping the in-process
-/// LoopbackTransport (shard/loopback_transport.h) for a socket transport
-/// changes no executor code — the serialization cost is already paid and
-/// tested for byte-identity.
+/// speaks only this interface for its fan-out; its one implementation,
+/// replica::ReplicaSetTransport, runs over in-process or socket channels,
+/// so moving a shard out of process changes no executor code — the
+/// serialization cost is already paid and tested for byte-identity.
 ///
 /// Contract:
 ///  - `request` is a kQueryRequest or kTripleCollectRequest frame; the

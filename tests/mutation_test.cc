@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -987,6 +989,41 @@ TEST_F(ServiceMutationTest, ApplyMutationsEvictsDirtyPairsAndKeepsCleanOnes) {
 
   // The re-computed result is cached under the pair's new generation.
   EXPECT_TRUE(svc.Execute(ProteinDnaTyped(), MethodKind::kFullTop).from_cache);
+}
+
+TEST_F(ServiceMutationTest, EnableMutationsStartsTheCompactionLane) {
+  service::TopologyService svc(live_->engine.get(), &live_->db,
+                               service::ServiceConfig{});
+  ASSERT_TRUE(svc.AttachLiveStore(live_->schema.get(), live_->view.get()).ok());
+  mutation::MutationEngine::Options options;
+  options.build.max_path_length = 3;
+  options.compaction_min_generations = 1;
+  options.compaction_poll = std::chrono::milliseconds(5);
+  ASSERT_TRUE(svc.EnableMutations(options).ok());
+
+  mutation::MutationBatch batch;
+  batch.ops = {mutation::RemoveEdge("Uni_contains", 93)};
+  ASSERT_TRUE(svc.ApplyMutations(batch).ok());
+  auto applied = svc.Execute(ProteinUnigene(), MethodKind::kFullTop);
+  ASSERT_TRUE(applied.result.ok());
+
+  // Nobody calls StartCompaction: the lane EnableMutations started must
+  // fold the one accumulated generation on its own.
+  mutation::MutationEngine* mutator = svc.mutation_engine();
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((mutator->compaction_rounds() == 0 ||
+          mutator->uncompacted_generations() != 0) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GT(mutator->compaction_rounds(), 0u);
+  EXPECT_EQ(mutator->uncompacted_generations(), 0u);
+
+  // The fold changes where the tables live, not what queries answer.
+  auto folded = live_->engine->Execute(ProteinUnigene(), MethodKind::kFullTop);
+  ASSERT_TRUE(folded.ok());
+  EXPECT_EQ(folded->entries, applied.result->entries);
 }
 
 TEST_F(ServiceMutationTest, ApplyMutationsRequiresEnableMutations) {

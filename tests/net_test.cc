@@ -1,8 +1,9 @@
 // The cross-process sharding subsystem (src/net/): FrameConn partial-I/O
 // framing over real sockets, the shard server's frame loop, and the
-// connection-pooled SocketTransport — including the tentpole contract
-// that all nine query methods return byte-identical results through
-// direct, loopback, and UDS-socket execution at N ∈ {1, 2, 4} shards,
+// connection-pooled socket path of replica::ReplicaSetTransport at R=1 —
+// including the contract that all nine query methods return
+// byte-identical results through direct, in-process, and UDS/TCP-socket
+// execution at N ∈ {1, 2, 4} shards,
 // and the fault-injection contract that a killed or hung shard server
 // degrades the answer to partial=true (PARTIAL plan tag, no cache
 // insert) with full recovery once the server restarts.
@@ -29,7 +30,7 @@
 #include "net/endpoint_client.h"
 #include "net/frame_conn.h"
 #include "net/shard_server.h"
-#include "net/socket_transport.h"
+#include "replica/replica_set.h"
 #include "service/service.h"
 #include "shard/frame_handler.h"
 #include "shard/scatter_gather.h"
@@ -278,7 +279,7 @@ class NetFig3Test : public ::testing::Test {
   }
 
   /// N in-process shard servers over an executor's own engines — the
-  /// same handler objects the loopback path uses, behind real sockets,
+  /// same handler objects the in-process path uses, behind real sockets,
   /// so the only difference under test is the byte shipping. UDS by
   /// default; `use_tcp` listens on ephemeral 127.0.0.1 ports instead.
   struct ServerSet {
@@ -332,34 +333,44 @@ class NetFig3Test : public ::testing::Test {
 };
 
 TEST_F(NetFig3Test,
-       SocketScatterIsByteIdenticalToDirectAndLoopbackAtEveryShardCount) {
+       SocketScatterIsByteIdenticalToDirectAndInProcessAtEveryShardCount) {
   // The acceptance contract: all nine methods byte-identical across
-  // direct, loopback, and UDS-socket execution at N ∈ {1, 2, 4}.
+  // direct, in-process, UDS-socket, and TCP-socket execution at
+  // N ∈ {1, 2, 4}, every transported path on ReplicaSetTransport (R=1).
   for (size_t n : {1u, 2u, 4u}) {
     auto executor = MakeSharded(n, "ni");
-    ServerSet servers =
+    ServerSet uds_servers =
         StartServers(executor.get(), "id" + std::to_string(n));
-    net::SocketTransport transport(servers.endpoints,
-                                   net::SocketTransportConfig{},
-                                   executor->transport_metrics());
+    ServerSet tcp_servers = StartServers(executor.get(), "idt",
+                                         /*use_tcp=*/true);
+    replica::ReplicaSetTransport uds(
+        replica::SocketShardChannels(uds_servers.endpoints),
+        replica::ReplicaSetConfig{}, executor->transport_metrics());
+    replica::ReplicaSetTransport tcp(
+        replica::SocketShardChannels(tcp_servers.endpoints),
+        replica::ReplicaSetConfig{}, executor->transport_metrics());
 
     for (MethodKind method : kAllMethods) {
       auto direct = engine_->Execute(ScatteringQuery(), method);
-      auto loopback = executor->Execute(ScatteringQuery(), method);
-      executor->set_transport(&transport);
-      auto socket = executor->Execute(ScatteringQuery(), method);
-      executor->set_transport(nullptr);
-      ASSERT_EQ(direct.ok(), socket.ok())
-          << engine::MethodKindToString(method) << " @" << n;
-      if (!direct.ok()) continue;
-      ASSERT_TRUE(loopback.ok());
-      EXPECT_EQ(socket->entries, direct->entries)
-          << engine::MethodKindToString(method) << " @" << n << " shards";
-      EXPECT_EQ(socket->entries, loopback->entries)
-          << engine::MethodKindToString(method) << " @" << n << " shards";
-      EXPECT_FALSE(socket->partial);
+      auto in_process = executor->Execute(ScatteringQuery(), method);
+      for (replica::ReplicaSetTransport* socket_transport : {&uds, &tcp}) {
+        executor->set_transport(socket_transport);
+        auto socket = executor->Execute(ScatteringQuery(), method);
+        executor->set_transport(nullptr);
+        const std::string where =
+            std::string(engine::MethodKindToString(method)) + " @" +
+            std::to_string(n) + " shards over " +
+            (socket_transport == &uds ? "uds" : "tcp");
+        ASSERT_EQ(direct.ok(), socket.ok()) << where;
+        if (!direct.ok()) continue;
+        ASSERT_TRUE(in_process.ok()) << where;
+        EXPECT_EQ(socket->entries, direct->entries) << where;
+        EXPECT_EQ(socket->entries, in_process->entries) << where;
+        EXPECT_FALSE(socket->partial) << where;
+      }
     }
-    servers.StopAll();
+    uds_servers.StopAll();
+    tcp_servers.StopAll();
   }
 }
 
@@ -376,7 +387,8 @@ TEST_F(NetFig3Test, TripleQueriesScatterTheirScanPhaseOverSockets) {
     auto executor = MakeSharded(n, "nt");
     ServerSet servers =
         StartServers(executor.get(), "tr" + std::to_string(n));
-    net::SocketTransport transport(servers.endpoints);
+    replica::ReplicaSetTransport transport(
+        replica::SocketShardChannels(servers.endpoints));
     executor->set_transport(&transport);
     auto actual = executor->ExecuteTriple(triple);
     executor->set_transport(nullptr);
@@ -396,33 +408,15 @@ TEST_F(NetFig3Test, TripleQueriesScatterTheirScanPhaseOverSockets) {
   }
 }
 
-TEST_F(NetFig3Test, TcpTransportServesTheSameResults) {
-  auto executor = MakeSharded(2, "ntcp");
-  ServerSet servers = StartServers(executor.get(), "tcp", /*use_tcp=*/true);
-  net::SocketTransport transport(servers.endpoints);
-  executor->set_transport(&transport);
-  for (MethodKind method :
-       {MethodKind::kFullTop, MethodKind::kFastTopKEt}) {
-    auto expected = engine_->Execute(ScatteringQuery(), method);
-    auto actual = executor->Execute(ScatteringQuery(), method);
-    ASSERT_EQ(expected.ok(), actual.ok());
-    if (expected.ok()) {
-      EXPECT_EQ(expected->entries, actual->entries);
-      EXPECT_FALSE(actual->partial);
-    }
-  }
-  executor->set_transport(nullptr);
-  servers.StopAll();
-}
-
 TEST_F(NetFig3Test, KilledShardServerDegradesToPartialAndRecovers) {
   auto executor = MakeSharded(4, "nk");
   ServerSet servers = StartServers(executor.get(), "kill");
-  net::SocketTransportConfig config;
-  config.backoff_initial_seconds = 0.005;
-  config.backoff_max_seconds = 0.05;
-  net::SocketTransport transport(servers.endpoints, config,
-                                 executor->transport_metrics());
+  net::EndpointClientConfig client_config;
+  client_config.backoff_initial_seconds = 0.005;
+  client_config.backoff_max_seconds = 0.05;
+  replica::ReplicaSetTransport transport(
+      replica::SocketShardChannels(servers.endpoints, client_config),
+      replica::ReplicaSetConfig{}, executor->transport_metrics());
   executor->set_transport(&transport);
 
   service::ServiceConfig svc_config;
@@ -604,7 +598,8 @@ TEST_F(NetFig3Test, AcknowledgedMutationsSurviveServerKillViaWalReplay) {
 
   // Served over sockets again: the acknowledged state survived the kill.
   ServerSet servers = StartServers(executor.get(), "mw3");
-  net::SocketTransport transport(servers.endpoints);
+  replica::ReplicaSetTransport transport(
+      replica::SocketShardChannels(servers.endpoints));
   executor->set_transport(&transport);
   auto recovered = executor->Execute(ScatteringQuery(), MethodKind::kFullTop);
   executor->set_transport(nullptr);
@@ -634,13 +629,14 @@ TEST_F(NetFig3Test, HungShardServerTimesOutUnderTheRequestDeadline) {
     }
   });
 
-  net::SocketTransportConfig config;
+  replica::ReplicaSetConfig config;
   config.request_timeout_seconds = 0.1;
   bool saw_degraded = false;
   for (size_t s = 0; s < 4 && !saw_degraded; ++s) {
     std::vector<net::ShardEndpoint> endpoints = servers.endpoints;
     endpoints[s] = net::ShardEndpoint::Unix(hole->uds_path());
-    net::SocketTransport transport(endpoints, config);
+    replica::ReplicaSetTransport transport(
+        replica::SocketShardChannels(endpoints), config);
     executor->set_transport(&transport);
     auto result = executor->Execute(ScatteringQuery(), MethodKind::kFullTop);
     executor->set_transport(nullptr);
@@ -660,8 +656,9 @@ TEST_F(NetFig3Test, HungShardServerTimesOutUnderTheRequestDeadline) {
 TEST_F(NetFig3Test, ConnectionPoolReusesConnectionsAcrossQueries) {
   auto executor = MakeSharded(4, "np");
   ServerSet servers = StartServers(executor.get(), "pool");
-  net::SocketTransport transport(servers.endpoints, {},
-                                 executor->transport_metrics());
+  replica::ReplicaSetTransport transport(
+      replica::SocketShardChannels(servers.endpoints),
+      replica::ReplicaSetConfig{}, executor->transport_metrics());
   executor->set_transport(&transport);
 
   const int kQueries = 20;
@@ -692,7 +689,7 @@ TEST_F(NetFig3Test, ConnectionPoolReusesConnectionsAcrossQueries) {
   EXPECT_EQ(metrics.total.reconnects, 0u);
   bool rtt_seen = false;
   for (const auto& row : metrics.shards) {
-    if (row.rtt.count > 0 && row.rtt.p95 > 0.0) rtt_seen = true;
+    if (row.rtt.count() > 0 && row.rtt.Quantile(0.95) > 0.0) rtt_seen = true;
   }
   EXPECT_TRUE(rtt_seen);
   EXPECT_FALSE(metrics.ToString().empty());
@@ -764,10 +761,11 @@ TEST_F(NetFig3Test, UnreachableShardFailsFastUnderBackoff) {
   // Nothing listens on this endpoint (and never will).
   std::vector<net::ShardEndpoint> endpoints = {
       net::ShardEndpoint::Unix(UdsPath("nobody", 0))};
-  net::SocketTransportConfig config;
+  net::EndpointClientConfig config;
   config.connect_timeout_seconds = 0.5;
   config.backoff_initial_seconds = 10.0;  // Window outlasts the test.
-  net::SocketTransport transport(endpoints, config);
+  replica::ReplicaSetTransport transport(
+      replica::SocketShardChannels(endpoints, config));
 
   const std::string frame = ExampleFrame();
   auto first = transport.Send(0, frame).get();

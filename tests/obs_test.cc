@@ -770,7 +770,7 @@ TEST(LatencyHistogramTest, DecodeRejectsMalformedBucketLists) {
 }
 
 // ---------------------------------------------------------------------------
-// Span cpu attribution (wire v6 piggyback, v5 downgrade)
+// Span cpu attribution (the span records piggybacked on wire responses)
 // ---------------------------------------------------------------------------
 
 TEST(SpanCodecTest, CpuFieldRoundTripsThroughTheSpanCodec) {
@@ -786,9 +786,9 @@ TEST(SpanCodecTest, CpuFieldRoundTripsThroughTheSpanCodec) {
   EXPECT_EQ(decoded[0].cpu_ns, 1234567890ULL);
 }
 
-TEST(SpanCodecTest, WithCpuFalseDecodesPreV6SpanRecords) {
-  // A v4/v5 frame's span record ends at the duration; the decoder must
-  // consume exactly that and report cpu_ns = 0.
+TEST(SpanCodecTest, SpanRecordWithoutCpuFieldIsRejected) {
+  // A span record that ends at the duration (no cpu_ns) is short by one
+  // field and must fail, not decode with a silent zero.
   std::string bytes;
   PutU32(&bytes, 1);
   PutU64(&bytes, 11);   // span_id
@@ -798,17 +798,8 @@ TEST(SpanCodecTest, WithCpuFalseDecodesPreV6SpanRecords) {
   PutF64(&bytes, 1723100000.0);
   PutF64(&bytes, 0.125);
   BinaryReader in(bytes);
-  std::vector<obs::Span> decoded;
-  ASSERT_TRUE(obs::DecodeSpans(&in, &decoded, /*with_cpu=*/false).ok());
-  EXPECT_TRUE(in.AtEnd());
-  ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_EQ(decoded[0].name, "execute");
-  EXPECT_EQ(decoded[0].cpu_ns, 0u);
-
-  // The same body at v6 framing is short by the cpu field and must fail.
-  BinaryReader in_v6(bytes);
   std::vector<obs::Span> rejected;
-  EXPECT_FALSE(obs::DecodeSpans(&in_v6, &rejected, /*with_cpu=*/true).ok());
+  EXPECT_FALSE(obs::DecodeSpans(&in, &rejected).ok());
 }
 
 TEST(FormatSpanTreeTest, CpuAttributionRendersWhenPresent) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <future>
 #include <set>
 #include <string>
@@ -79,32 +80,6 @@ TEST(ThreadPoolTest, TasksRunConcurrently) {
   });
   f1.get();
   f2.get();
-}
-
-// ---------------------------------------------------------------------------
-// LatencyReservoir
-// ---------------------------------------------------------------------------
-
-TEST(LatencyReservoirTest, ExactStatsBelowCapacity) {
-  service::LatencyReservoir reservoir;
-  for (int i = 1; i <= 100; ++i) {
-    reservoir.Record(static_cast<double>(i));
-  }
-  auto s = reservoir.Summarize();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_NEAR(s.mean, 50.5, 1e-9);
-  EXPECT_NEAR(s.p50, 50.0, 2.0);
-  EXPECT_NEAR(s.p95, 95.0, 2.0);
-}
-
-TEST(LatencyReservoirTest, CountStaysExactPastCapacity) {
-  service::LatencyReservoir reservoir;
-  for (int i = 0; i < 5000; ++i) reservoir.Record(1.0);
-  auto s = reservoir.Summarize();
-  EXPECT_EQ(s.count, 5000u);
-  EXPECT_DOUBLE_EQ(s.p50, 1.0);
-  EXPECT_DOUBLE_EQ(s.p95, 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -968,9 +943,40 @@ TEST_F(ServiceFig3Test, MetricsTrackPerMethodTraffic) {
       EXPECT_EQ(row.method, "Fast-Top");
       EXPECT_EQ(row.requests, 1u);
     }
-    EXPECT_GE(row.latency.p95, row.latency.p50);
+    EXPECT_GE(row.latency.Quantile(0.95), row.latency.Quantile(0.50));
+    EXPECT_EQ(row.latency.count(), row.requests);
   }
   EXPECT_FALSE(snap.ToString().empty());
+}
+
+TEST(ServiceMetricsTest, LatencyStatsComeFromTheExactHistogram) {
+  // count/mean/max are exact; quantiles are the upper bound of the 2^¼
+  // bucket holding the rank, so never below it and at most ~19% above.
+  service::ServiceMetrics metrics;
+  for (int i = 1; i <= 100; ++i) {
+    metrics.RecordRequest(0, 1e-3 * i, /*cache_hit=*/false, /*ok=*/true);
+  }
+  for (int i = 0; i < 5000; ++i) {
+    metrics.RecordClassLatency(0, 0.002);
+  }
+  const service::MetricsSnapshot snap = metrics.Snapshot();
+  ASSERT_EQ(snap.methods.size(), 1u);
+  const obs::LatencyHistogram& method = snap.methods[0].latency;
+  EXPECT_EQ(method.count(), 100u);
+  EXPECT_DOUBLE_EQ(method.max(), 0.100);
+  EXPECT_NEAR(method.sum() / method.count(), 0.0505, 1e-12);
+  const double kBucket = std::pow(2.0, 0.25);
+  EXPECT_GE(method.Quantile(0.50), 0.050);
+  EXPECT_LE(method.Quantile(0.50), 0.051 * kBucket);
+  EXPECT_GE(method.Quantile(0.95), 0.095);
+  EXPECT_LE(method.Quantile(0.95), 0.096 * kBucket);
+
+  // Past any sample-size cap the count stays exact and a constant stream
+  // reads back within one bucket.
+  const obs::LatencyHistogram& cls = snap.classes[0].latency;
+  EXPECT_EQ(cls.count(), 5000u);
+  EXPECT_GE(cls.Quantile(0.50), 0.002);
+  EXPECT_LE(cls.Quantile(0.99), 0.002 * kBucket);
 }
 
 }  // namespace

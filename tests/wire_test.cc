@@ -1,18 +1,16 @@
 // The versioned wire protocol (src/wire/): binary frame round-trips for
 // every method's requests and results (byte-identical re-encodings), the
 // canonical text Format round-trip, parser error offsets, and the
-// ShardTransport seam — including the tentpole contract that
-// scatter-gather over LoopbackTransport returns results identical to the
+// ShardTransport seam — including the contract that scatter-gather over
+// the executor's built-in in-process transport (ReplicaSetTransport over
+// one LoopbackReplicaChannel per shard) returns results identical to the
 // direct per-shard-engine path, and that a failed or timed-out shard
 // degrades the answer with partial=true instead of failing the query.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "biozon/domain.h"
@@ -23,14 +21,14 @@
 #include "engine/engine.h"
 #include "engine/nquery.h"
 #include "engine/result_io.h"
+#include "net/frame_conn.h"
 #include "service/request_parser.h"
 #include "service/service.h"
-#include "shard/loopback_transport.h"
+#include "shard/replica_loopback.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_store.h"
 #include "wire/codec.h"
 #include "wire/message.h"
-#include "wire/transport.h"
 
 namespace tsb {
 namespace {
@@ -480,10 +478,12 @@ TEST_F(WireFig3Test, InspectFrameClassifiesPrefixesAndCorruption) {
               wire::FrameError::kMalformedFrame);
   }
 
-  // Unknown versions — future or outdated (v1 predates serving stamps) —
-  // are typed distinctly from garbage, and the Status rendering keeps the
-  // distinction (kUnimplemented).
-  for (uint8_t version : {0, 1, 7, 255}) {
+  // Every version but the current one — future, or any older one (v1
+  // predates serving stamps, v3-v5 predate trace, mutation, and cost
+  // fields) — is typed distinctly from garbage, and the Status rendering
+  // keeps the distinction (kUnimplemented). A fleet is built from one
+  // tree, so there is no older peer to stay compatible with.
+  for (uint8_t version : {0, 1, 2, 3, 4, 5, 7, 255}) {
     std::string bad = frame;
     bad[2] = static_cast<char>(version);
     EXPECT_EQ(wire::InspectFrame(bad, wire::kDefaultMaxFramePayload,
@@ -518,132 +518,35 @@ TEST_F(WireFig3Test, InspectFrameClassifiesPrefixesAndCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire v3 -> v4 compatibility (trace context and span piggyback)
+// Payload tails: trace context, piggybacked spans, cost counters
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Rewrites a current-version frame into an older twin: drops
-/// `tail_bytes` from the end of the payload (the newer trailing fields),
-/// patches the version byte to `version` and the little-endian payload
-/// length.
-std::string StripToVersion(const std::string& frame, size_t tail_bytes,
-                           uint8_t version) {
-  std::string old = frame.substr(0, frame.size() - tail_bytes);
-  old[2] = static_cast<char>(version);
-  uint32_t len = static_cast<uint8_t>(old[4]) |
-                 (static_cast<uint8_t>(old[5]) << 8) |
-                 (static_cast<uint8_t>(old[6]) << 16) |
-                 (static_cast<uint32_t>(static_cast<uint8_t>(old[7])) << 24);
+/// Drops `tail_bytes` from the end of a frame's payload and patches the
+/// little-endian length field to match, keeping the version byte: a frame
+/// that is well-formed at the header level but ends inside its tail.
+std::string TruncatePayloadTail(const std::string& frame, size_t tail_bytes) {
+  std::string cut = frame.substr(0, frame.size() - tail_bytes);
+  uint32_t len = static_cast<uint8_t>(cut[4]) |
+                 (static_cast<uint8_t>(cut[5]) << 8) |
+                 (static_cast<uint8_t>(cut[6]) << 16) |
+                 (static_cast<uint32_t>(static_cast<uint8_t>(cut[7])) << 24);
   len -= static_cast<uint32_t>(tail_bytes);
-  old[4] = static_cast<char>(len & 0xff);
-  old[5] = static_cast<char>((len >> 8) & 0xff);
-  old[6] = static_cast<char>((len >> 16) & 0xff);
-  old[7] = static_cast<char>((len >> 24) & 0xff);
-  return old;
+  cut[4] = static_cast<char>(len & 0xff);
+  cut[5] = static_cast<char>((len >> 8) & 0xff);
+  cut[6] = static_cast<char>((len >> 16) & 0xff);
+  cut[7] = static_cast<char>((len >> 24) & 0xff);
+  return cut;
 }
 
-std::string StripToV3(const std::string& frame, size_t tail_bytes) {
-  return StripToVersion(frame, tail_bytes, 3);
-}
-
-// v4 request tail: trace_id u64 + parent_span_id u64 + sampled bool.
+// Request trace tail: trace_id u64 + parent_span_id u64 + sampled bool.
 constexpr size_t kRequestTraceTailBytes = 8 + 8 + 1;
-// v4 response tail when no spans piggyback: the u32 span count alone.
-constexpr size_t kEmptySpanListBytes = 4;
-// v6 response cost tail: cpu_ns + bytes_deserialized + catalog_interns +
+// Response cost tail: cpu_ns + bytes_deserialized + catalog_interns +
 // heap_bytes, one u64 each, written after the span list.
 constexpr size_t kCostTailBytes = 4 * 8;
 
 }  // namespace
-
-TEST_F(WireFig3Test, V3RequestFramesDecodeWithEmptyTraceContext) {
-  wire::WireRequest request = ExampleRequest(MethodKind::kFastTopKEt);
-  request.trace.trace_id = 0xabcdef0123456789ULL;
-  request.trace.parent_span_id = 42;
-  request.trace.sampled = true;
-  std::string v4_frame;
-  wire::EncodeQueryRequest(request, &v4_frame);
-
-  // The v4 decode sees the context...
-  auto v4_decoded = wire::DecodeQueryRequest(v4_frame, db_);
-  ASSERT_TRUE(v4_decoded.ok());
-  EXPECT_TRUE(v4_decoded->trace.active());
-  EXPECT_EQ(v4_decoded->trace.trace_id, request.trace.trace_id);
-  EXPECT_EQ(v4_decoded->trace.parent_span_id, 42u);
-
-  // ... while the same payload reframed as v3 decodes cleanly with an
-  // empty context — an old peer's frames keep working.
-  const std::string v3_frame = StripToV3(v4_frame, kRequestTraceTailBytes);
-  EXPECT_EQ(wire::InspectFrame(v3_frame, wire::kDefaultMaxFramePayload,
-                               nullptr),
-            wire::FrameError::kOk);
-  auto v3_decoded = wire::DecodeQueryRequest(v3_frame, db_);
-  ASSERT_TRUE(v3_decoded.ok()) << v3_decoded.status();
-  EXPECT_FALSE(v3_decoded->trace.active());
-  EXPECT_EQ(v3_decoded->trace.trace_id, 0u);
-  EXPECT_EQ(v3_decoded->trace.parent_span_id, 0u);
-  // Everything before the tail survives untouched.
-  EXPECT_EQ(v3_decoded->id, request.id);
-  EXPECT_EQ(v3_decoded->method, request.method);
-  EXPECT_EQ(v3_decoded->query.pred1->ToString(),
-            request.query.pred1->ToString());
-}
-
-TEST_F(WireFig3Test, V3ResponseFramesDecodeWithNoSpans) {
-  wire::WireResponse response;
-  response.request_id = 9;
-  response.serving_stamp = "r1:e2";
-  response.result.entries = {{3, 2.5}, {1, 1.0}};
-  response.result.stats.plan = "scan";
-  response.service_seconds = 0.125;
-  std::string v4_frame;
-  wire::EncodeQueryResponse(response, &v4_frame);
-
-  const std::string v3_frame =
-      StripToV3(v4_frame, kEmptySpanListBytes + kCostTailBytes);
-  auto decoded = wire::DecodeQueryResponse(v3_frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(decoded->spans.empty());
-  EXPECT_EQ(decoded->result.entries, response.result.entries);
-  EXPECT_EQ(decoded->serving_stamp, "r1:e2");
-  EXPECT_DOUBLE_EQ(decoded->service_seconds, 0.125);
-}
-
-TEST_F(WireFig3Test, V5ResponseFramesDecodeWithoutCostFields) {
-  // A v5 peer's response is a strict prefix of the v6 layout: span records
-  // without the per-span cpu_ns, no cost tail. Stripping the v6 tail off
-  // an empty-span response and re-versioning it as v5 must decode clean,
-  // with every cost field zero.
-  wire::WireResponse response;
-  response.request_id = 21;
-  response.serving_stamp = "r0:e1";
-  response.result.entries = {{5, 9.0}};
-  response.result.stats.plan = "scan";
-  response.result.stats.cpu_ns = 123456;
-  response.result.stats.bytes_deserialized = 789;
-  response.result.stats.heap_bytes = 1024;
-  std::string v6_frame;
-  wire::EncodeQueryResponse(response, &v6_frame);
-
-  const std::string v5_frame =
-      StripToVersion(v6_frame, kCostTailBytes, 5);
-  auto decoded = wire::DecodeQueryResponse(v5_frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(decoded->spans.empty());
-  EXPECT_EQ(decoded->result.entries, response.result.entries);
-  EXPECT_EQ(decoded->result.stats.cpu_ns, 0u);
-  EXPECT_EQ(decoded->result.stats.bytes_deserialized, 0u);
-  EXPECT_EQ(decoded->result.stats.catalog_interns, 0u);
-  EXPECT_EQ(decoded->result.stats.heap_bytes, 0u);
-
-  // A v6 frame truncated anywhere inside the cost tail is a typed decode
-  // error, never a silent zero.
-  for (size_t strip = 1; strip < kCostTailBytes; ++strip) {
-    const std::string bad = StripToVersion(v6_frame, strip, 6);
-    EXPECT_FALSE(wire::DecodeQueryResponse(bad).ok()) << strip;
-  }
-}
 
 TEST_F(WireFig3Test, ResponseCostFieldsAndSpanCpuRoundTrip) {
   wire::WireResponse response;
@@ -687,12 +590,29 @@ TEST_F(WireFig3Test, CorruptedTraceFieldsErrorWithoutOverread) {
   std::string frame;
   wire::EncodeQueryRequest(request, &frame);
 
-  // A v4 frame whose payload ends mid-trace-tail (length field patched to
-  // match) is a truncation error, not a silent empty context.
-  for (size_t strip = 1; strip < kRequestTraceTailBytes; ++strip) {
-    std::string bad = StripToV3(frame, strip);
-    bad[2] = 4;  // Keep claiming v4: the tail is then mandatory.
+  // A frame whose payload ends anywhere inside the trace tail (length
+  // field patched to match) is a truncation error, not a silent empty
+  // context — and so is one with the whole tail missing.
+  for (size_t strip = 1; strip <= kRequestTraceTailBytes; ++strip) {
+    const std::string bad = TruncatePayloadTail(frame, strip);
     EXPECT_FALSE(wire::DecodeQueryRequest(bad, db_).ok()) << strip;
+  }
+
+  // Likewise a response truncated anywhere inside (or before) its cost
+  // tail is a typed decode error, never a silent zero.
+  {
+    wire::WireResponse costed;
+    costed.request_id = 21;
+    costed.serving_stamp = "r0:e1";
+    costed.result.entries = {{5, 9.0}};
+    costed.result.stats.cpu_ns = 123456;
+    std::string costed_frame;
+    wire::EncodeQueryResponse(costed, &costed_frame);
+    ASSERT_TRUE(wire::DecodeQueryResponse(costed_frame).ok());
+    for (size_t strip = 1; strip <= kCostTailBytes; ++strip) {
+      const std::string bad = TruncatePayloadTail(costed_frame, strip);
+      EXPECT_FALSE(wire::DecodeQueryResponse(bad).ok()) << strip;
+    }
   }
 
   // A response whose span count claims more spans than the payload holds
@@ -711,7 +631,7 @@ TEST_F(WireFig3Test, CorruptedTraceFieldsErrorWithoutOverread) {
 
 TEST_F(WireFig3Test, MalformedSweepOverSpanCarryingFrames) {
   // The byte-corruption sweep of MalformedBytesSweepNeverCrashesTheDecoders,
-  // pointed at a response that actually piggybacks spans — the v4 surface.
+  // pointed at a response that actually piggybacks spans.
   wire::WireResponse response;
   response.request_id = 11;
   response.result.entries = {{3, 2.5}};
@@ -746,29 +666,6 @@ TEST_F(WireFig3Test, MalformedSweepOverSpanCarryingFrames) {
       std::string reencoded;
       wire::EncodeQueryResponse(*decoded, &reencoded);
     }
-  }
-}
-
-TEST_F(WireFig3Test, InspectFrameAcceptsBothLiveVersions) {
-  wire::WireRequest request = ExampleRequest(MethodKind::kFullTop);
-  std::string frame;
-  wire::EncodeQueryRequest(request, &frame);
-  EXPECT_EQ(static_cast<uint8_t>(frame[2]), wire::kWireVersion);
-
-  // Version 3 headers pass inspection (the payload length is not v3-sized
-  // here, but InspectFrame only validates the header); 2 and 7 sit
-  // outside [kMinWireVersion, kWireVersion].
-  std::string v3 = frame;
-  v3[2] = 3;
-  EXPECT_EQ(wire::InspectFrame(v3, wire::kDefaultMaxFramePayload, nullptr),
-            wire::FrameError::kOk);
-  for (uint8_t version : {2, 7}) {
-    std::string bad = frame;
-    bad[2] = static_cast<char>(version);
-    EXPECT_EQ(wire::InspectFrame(bad, wire::kDefaultMaxFramePayload,
-                                 nullptr),
-              wire::FrameError::kUnsupportedVersion)
-        << static_cast<int>(version);
   }
 }
 
@@ -1027,7 +924,7 @@ class WireTransportTest : public WireFig3Test {
   }
 };
 
-TEST_F(WireTransportTest, LoopbackHandleMatchesDirectEngineExecution) {
+TEST_F(WireTransportTest, LoopbackChannelMatchesDirectEngineExecution) {
   auto executor = MakeSharded(4);
   wire::WireRequest sub;
   sub.query = ScatteringQuery();
@@ -1037,7 +934,8 @@ TEST_F(WireTransportTest, LoopbackHandleMatchesDirectEngineExecution) {
   wire::EncodeQueryRequest(sub, &frame);
 
   for (size_t shard = 0; shard < 4; ++shard) {
-    auto response_frame = executor->loopback().Handle(shard, frame);
+    auto response_frame = executor->loopback_channel(shard).RoundTrip(
+        frame, net::Deadline{}, nullptr);
     ASSERT_TRUE(response_frame.ok()) << response_frame.status();
     auto response = wire::DecodeQueryResponse(*response_frame);
     ASSERT_TRUE(response.ok());
@@ -1078,35 +976,12 @@ TEST_F(WireTransportTest,
   }
 }
 
-/// Delegates to the real transport except for one shard, which fails.
-class FailingTransport : public wire::ShardTransport {
- public:
-  FailingTransport(wire::ShardTransport* inner, size_t failing_shard)
-      : inner_(inner), failing_shard_(failing_shard) {}
-
-  size_t num_shards() const override { return inner_->num_shards(); }
-
-  std::future<Result<std::string>> Send(size_t shard,
-                                        std::string request) override {
-    if (shard == failing_shard_) {
-      std::promise<Result<std::string>> broken;
-      broken.set_value(Status::Internal("shard process crashed"));
-      return broken.get_future();
-    }
-    return inner_->Send(shard, std::move(request));
-  }
-
- private:
-  wire::ShardTransport* inner_;
-  size_t failing_shard_;
-};
-
 TEST_F(WireTransportTest, FailedShardDegradesToPartialInsteadOfFailing) {
   auto executor = MakeSharded(4);
 
   // Find a shard the query actually scatters to (not the designated one):
-  // run once cleanly to learn the fan-out, then fail each non-designated
-  // shard in turn.
+  // run once cleanly to learn the fan-out, then take each shard's channel
+  // down in turn.
   auto clean = executor->Execute(ScatteringQuery(), MethodKind::kFullTop);
   ASSERT_TRUE(clean.ok());
   ASSERT_GT(executor->GetScatterStats().transport_subqueries, 0u)
@@ -1114,11 +989,9 @@ TEST_F(WireTransportTest, FailedShardDegradesToPartialInsteadOfFailing) {
 
   bool saw_degraded = false;
   for (size_t failing = 0; failing < 4; ++failing) {
-    FailingTransport failing_transport(executor->mutable_loopback(),
-                                       failing);
-    executor->set_transport(&failing_transport);
+    executor->loopback_channel(failing).SetDown(true);
     auto result = executor->Execute(ScatteringQuery(), MethodKind::kFullTop);
-    executor->set_transport(nullptr);
+    executor->loopback_channel(failing).SetDown(false);
 
     ASSERT_TRUE(result.ok()) << "failing shard " << failing << ": "
                              << result.status().ToString();
@@ -1146,61 +1019,25 @@ TEST_F(WireTransportTest, StrictModePropagatesShardFailures) {
   config.tolerate_shard_failures = false;
   auto executor = MakeSharded(4, config);
 
-  // Fail every shard; whichever non-designated shard is routed first
-  // surfaces its error.
-  class AllFail : public wire::ShardTransport {
-   public:
-    explicit AllFail(size_t n) : n_(n) {}
-    size_t num_shards() const override { return n_; }
-    std::future<Result<std::string>> Send(size_t, std::string) override {
-      std::promise<Result<std::string>> broken;
-      broken.set_value(Status::Internal("shard down"));
-      return broken.get_future();
-    }
-   private:
-    size_t n_;
-  } all_fail(4);
-  executor->set_transport(&all_fail);
+  // Fail every shard's next round-trip; whichever non-designated shard is
+  // routed first surfaces its error.
+  for (size_t s = 0; s < 4; ++s) {
+    executor->loopback_channel(s).InjectFailures(1);
+  }
   auto result = executor->Execute(ScatteringQuery(), MethodKind::kFullTop);
-  executor->set_transport(nullptr);
   EXPECT_FALSE(result.ok());
 }
-
-/// Answers correctly but slower than the configured deadline.
-class SlowTransport : public wire::ShardTransport {
- public:
-  SlowTransport(wire::ShardTransport* inner, double delay_seconds)
-      : inner_(inner), delay_seconds_(delay_seconds) {}
-
-  size_t num_shards() const override { return inner_->num_shards(); }
-
-  std::future<Result<std::string>> Send(size_t shard,
-                                        std::string request) override {
-    wire::ShardTransport* inner = inner_;
-    const double delay = delay_seconds_;
-    return std::async(std::launch::async,
-                      [inner, shard, request = std::move(request),
-                       delay]() -> Result<std::string> {
-                        std::this_thread::sleep_for(
-                            std::chrono::duration<double>(delay));
-                        return inner->Send(shard, std::move(request)).get();
-                      });
-  }
-
- private:
-  wire::ShardTransport* inner_;
-  double delay_seconds_;
-};
 
 TEST_F(WireTransportTest, TimedOutShardsAreSkippedUnderTheDeadline) {
   shard::ScatterGatherConfig config;
   config.subquery_timeout_seconds = 0.05;
   auto executor = MakeSharded(4, config);
 
-  SlowTransport slow(executor->mutable_loopback(), 0.5);
-  executor->set_transport(&slow);
+  // Every shard answers correctly, but slower than the gather deadline.
+  for (size_t s = 0; s < 4; ++s) {
+    executor->loopback_channel(s).SetDelay(0.5);
+  }
   auto result = executor->Execute(ScatteringQuery(), MethodKind::kFullTop);
-  executor->set_transport(nullptr);
 
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->partial);
@@ -1215,20 +1052,18 @@ TEST_F(WireTransportTest, PartialResultsAreNeverCached) {
   // Find a shard whose failure actually degrades this query.
   size_t failing = SIZE_MAX;
   for (size_t s = 0; s < 4 && failing == SIZE_MAX; ++s) {
-    FailingTransport probe(executor->mutable_loopback(), s);
-    executor->set_transport(&probe);
+    executor->loopback_channel(s).SetDown(true);
     auto r = executor->Execute(ScatteringQuery(), MethodKind::kFullTop);
-    executor->set_transport(nullptr);
+    executor->loopback_channel(s).SetDown(false);
     if (r.ok() && r->partial) failing = s;
   }
   ASSERT_NE(failing, SIZE_MAX) << "fixture never degraded";
 
-  FailingTransport broken(executor->mutable_loopback(), failing);
   service::ServiceConfig config;
   config.num_threads = 2;
   service::TopologyService svc(executor.get(), &db_, config);
 
-  executor->set_transport(&broken);
+  executor->loopback_channel(failing).SetDown(true);
   auto first = svc.Execute(ScatteringQuery(), MethodKind::kFullTop);
   ASSERT_TRUE(first.result.ok());
   EXPECT_TRUE(first.result->partial);
@@ -1239,7 +1074,7 @@ TEST_F(WireTransportTest, PartialResultsAreNeverCached) {
 
   // ... so the moment the shard recovers, the full ranking is served and
   // (only then) cached.
-  executor->set_transport(nullptr);
+  executor->loopback_channel(failing).SetDown(false);
   auto healed = svc.Execute(ScatteringQuery(), MethodKind::kFullTop);
   ASSERT_TRUE(healed.result.ok());
   EXPECT_FALSE(healed.from_cache);
